@@ -14,13 +14,14 @@ import (
 )
 
 // setup times setupReps cold constructions, each over its own empty
-// artifact directory, and reports their median as setup_s. It returns the
-// last Experiment and the artifact directory it filled. Every
-// construction must store byte-identical victim weights.
-func (r *run) setup(ctx context.Context, p eval.Preset) (*exp.Experiment, string, error) {
+// artifact directory, and runs the workload's cold pass right after each
+// one. It reports the medians as setup_s and cold_s and returns the last
+// Experiment and every artifact directory, in order. Every set-up must
+// leave byte-identical artifacts.
+func (r *run) setup(ctx context.Context, p eval.Preset, cold func(x *exp.Experiment, artDir string) (time.Duration, error)) (*exp.Experiment, []string, error) {
 	var x *exp.Experiment
 	var dirs []string
-	var times []time.Duration
+	var setups, colds []time.Duration
 	for i := 0; i < setupReps; i++ {
 		x = nil // let the previous environment go before building the next
 		settle()
@@ -32,18 +33,51 @@ func (r *run) setup(ctx context.Context, p eval.Preset) (*exp.Experiment, string
 		})
 		r.op("setup", err == nil)
 		if err != nil {
-			return nil, "", fmt.Errorf("setup: %w", err)
+			return nil, nil, fmt.Errorf("setup: %w", err)
 		}
-		times = append(times, d)
+		setups = append(setups, d)
 		dirs = append(dirs, dir)
+		settle()
+		d, err = cold(x, dir)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cold pass: %w", err)
+		}
+		colds = append(colds, d)
 	}
 	for _, d := range dirs[1:] {
 		same, err := sameDir(dirs[0], d)
-		r.expect("cold constructions store identical artifacts", same, "%s vs %s: %v", dirs[0], d, err)
+		r.expect("cold set-ups store identical artifacts", same, "%s vs %s: %v", dirs[0], d, err)
 	}
-	r.setMedian("setup_s", times)
-	r.setLayer("exp.new_s", median(secs(times)), "s")
-	return x, dirs[len(dirs)-1], nil
+	r.setMedian("setup_s", setups)
+	r.setMedian("cold_s", colds)
+	r.setLayer("exp.new_s", median(secs(setups)), "s")
+	return x, dirs, nil
+}
+
+// restarts times, for each artifact directory a cold pass filled, a fresh
+// Experiment over it followed by the workload's pass — what a restarted
+// process pays — and reports their median as restart_s. It returns the
+// last Experiment.
+func (r *run) restarts(ctx context.Context, p eval.Preset, dirs []string, pass func(x *exp.Experiment, artDir string) error) (*exp.Experiment, error) {
+	var x *exp.Experiment
+	var times []time.Duration
+	for _, dir := range dirs {
+		x = nil
+		settle()
+		d, err := r.tr.timed("exp.restart", 0, func(id int) error {
+			var err error
+			if x, err = newExperiment(ctx, r, p, dir, id); err != nil {
+				return err
+			}
+			return pass(x, dir)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("restart pass: %w", err)
+		}
+		times = append(times, d)
+	}
+	r.setMedian("restart_s", times)
+	return x, nil
 }
 
 // newExperiment builds an Experiment over an artifact directory inside an
@@ -58,8 +92,8 @@ func newExperiment(ctx context.Context, r *run, p eval.Preset, artDir string, pa
 	return x, err
 }
 
-// repeat runs fn until the run's measuring budget would be overrun by one
-// more pass (at least once) and returns every pass's time.
+// repeat runs fn at least minPasses times, and then until one more pass
+// would overrun the run's measuring budget, and returns every pass's time.
 func (r *run) repeat(fn func() (time.Duration, error)) ([]time.Duration, error) {
 	budget := time.Duration(r.seconds * float64(time.Second))
 	start := time.Now()
@@ -70,7 +104,7 @@ func (r *run) repeat(fn func() (time.Duration, error)) ([]time.Duration, error) 
 			return ds, err
 		}
 		ds = append(ds, d)
-		if time.Since(start)+d > budget {
+		if len(ds) >= minPasses && time.Since(start)+d > budget {
 			return ds, nil
 		}
 	}

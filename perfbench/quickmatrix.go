@@ -21,8 +21,8 @@ import (
 const dispatchInject = "kill:0@3"
 
 // runQuickMatrix times the committed quick_matrix grid (27 closed-loop
-// cells) cold, warm, through dispatch.Run, and after a restart over the
-// artifact directory the cold pass filled.
+// cells) cold after each set-up, warm, through dispatch.Run, and after a
+// restart over each artifact directory a cold pass filled.
 func runQuickMatrix(ctx context.Context, r *run) error {
 	spec, err := loadQuickMatrix(r)
 	if err != nil {
@@ -35,14 +35,13 @@ func runQuickMatrix(ctx context.Context, r *run) error {
 	cells := int64(len(ids))
 	frames := cells * int64(spec.Matrix.Duration/spec.Matrix.DT+0.5)
 	p := benchPreset(eval.Quick().Seed)
+	r.count("cells_per_pass", cells)
+	r.count("frames_per_pass", frames)
 
-	x, artDir, err := r.setup(ctx, p)
-	if err != nil {
-		return err
-	}
-
-	// pass runs the grid once on an Experiment and returns its CSV.
-	pass := func(name string, x *exp.Experiment) (string, time.Duration, *cellTimer, error) {
+	// pass runs the grid once on an Experiment and checks its CSV against
+	// the first cold pass's.
+	var ref string
+	pass := func(name string, x *exp.Experiment) (time.Duration, *cellTimer, error) {
 		var csv string
 		var ct *cellTimer
 		d, err := r.tr.timed(name, 0, func(id int) error {
@@ -54,24 +53,33 @@ func runQuickMatrix(ctx context.Context, r *run) error {
 			return err
 		})
 		r.op(name, err == nil)
-		return csv, d, ct, err
+		if err != nil {
+			return d, ct, err
+		}
+		if ref == "" {
+			ref = csv
+		}
+		r.sameBytes(strings.TrimPrefix(name, "eval.")+" CSV equals the first cold CSV", csv, ref)
+		return d, ct, nil
 	}
-	r.count("cells_per_pass", cells)
-	r.count("frames_per_pass", frames)
 
-	settle()
-	cold, coldD, ct, err := pass("eval.cold_pass", x)
+	var warmups []float64
+	x, dirs, err := r.setup(ctx, p, func(x *exp.Experiment, _ string) (time.Duration, error) {
+		d, ct, err := pass("eval.cold_pass", x)
+		if err == nil {
+			warmups = append(warmups, ct.warmup().Seconds())
+		}
+		return d, err
+	})
 	if err != nil {
-		return fmt.Errorf("cold pass: %w", err)
+		return err
 	}
-	r.setE2E("cold_s", coldD.Seconds(), "s")
-	r.setExtra("eval.warm_defenses_s", ct.warmup().Seconds(), "s")
+	r.setExtra("eval.warm_defenses_s", median(warmups), "s")
 
 	warm, err := r.repeat(func() (time.Duration, error) {
 		settle()
-		csv, d, ct, err := pass("eval.warm_pass", x)
+		d, ct, err := pass("eval.warm_pass", x)
 		if err == nil {
-			r.sameBytes("warm CSV equals cold CSV", csv, cold)
 			ct.report("eval.cell_ms.")
 		}
 		return d, err
@@ -82,28 +90,17 @@ func runQuickMatrix(ctx context.Context, r *run) error {
 	r.setMedian("warm_s", warm)
 
 	settle()
-	if err := r.dispatchPass(ctx, x, spec, cold, cells); err != nil {
+	if err := r.dispatchPass(ctx, x, spec, ref, cells); err != nil {
 		return fmt.Errorf("dispatch pass: %w", err)
 	}
 
-	// Restart: a fresh Experiment over the artifact directory, then the
-	// same pass — what a restarted process pays.
-	x = nil
-	settle()
-	var restartCSV string
-	restartD, err := r.tr.timed("exp.restart", 0, func(id int) error {
-		var err error
-		if x, err = newExperiment(ctx, r, p, artDir, id); err != nil {
-			return err
-		}
-		restartCSV, _, _, err = pass("eval.restart_pass", x)
+	x, err = r.restarts(ctx, p, dirs, func(x *exp.Experiment, _ string) error {
+		_, _, err := pass("eval.restart_pass", x)
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("restart pass: %w", err)
+		return err
 	}
-	r.sameBytes("restart CSV equals cold CSV", restartCSV, cold)
-	r.setE2E("restart_s", restartD.Seconds(), "s")
 
 	if r.tracing {
 		return r.layerPass(ctx, x.Env(), spec)
@@ -167,7 +164,7 @@ func (r *run) dispatchPass(ctx context.Context, x *exp.Experiment, spec exp.Spec
 	r.setExtra("dispatch.attempt_s.p50", median(dt.durations()), "s")
 	r.setExtra("dispatch.attempt_s.max", quantile(dt.durations(), 1), "s")
 	r.setExtra("dispatch.store_put_ms", median(store.putMS()), "ms")
-	r.sameBytes("dispatch CSV equals cold CSV", rep.CSV, cold)
+	r.sameBytes("dispatch CSV equals the first cold CSV", rep.CSV, cold)
 	r.expect("dispatch retries equal injected faults", rep.Retries == len(injs),
 		"retries %d, injected %d", rep.Retries, len(injs))
 	computed := dt.cellsDone()

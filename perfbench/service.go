@@ -139,21 +139,25 @@ type daemon struct {
 	done   chan struct{}
 }
 
-// startDaemon builds a server whose result cache is a memory tier in front
-// of a DiskCache (the tier that survives a restart) and whose runners are
-// Experiments of the benchmark preset over artDir.
-func startDaemon(r *run, p eval.Preset, artDir, cacheDir string) (*daemon, error) {
-	disk, err := serve.NewDiskCache(cacheDir, nil)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	srv := serve.New(ctx, serve.Config{
-		Cache: &tieredCache{mem: exp.NewMemoryCache(), disk: disk, r: r},
+// startDaemon builds a server whose runners are Experiments of the
+// benchmark preset over artDir, configured as `advrepro serve` configures
+// it: with cacheDir empty, the default in-memory result cache; otherwise a
+// DiskCache there alone, as with -cachedir.
+func startDaemon(p eval.Preset, artDir, cacheDir string) (*daemon, error) {
+	cfg := serve.Config{
 		NewRunner: func(ctx context.Context, preset string, logf func(string, ...any)) (serve.Runner, error) {
 			return exp.New(ctx, exp.WithPreset(p), exp.WithLogger(logf), exp.WithArtifactDir(artDir))
 		},
-	})
+	}
+	if cacheDir != "" {
+		disk, err := serve.NewDiskCache(cacheDir, nil)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Cache = disk
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	srv := serve.New(ctx, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		cancel()
@@ -173,32 +177,6 @@ func (d *daemon) stop() {
 	d.http.Close()
 	d.cancel()
 	<-d.done
-}
-
-// tieredCache is the daemon's two-tier result cache: memory first, then
-// disk, promoting disk hits into memory.
-type tieredCache struct {
-	mem  *exp.MemoryCache
-	disk *serve.DiskCache
-	r    *run
-}
-
-func (c *tieredCache) Get(key string) ([]byte, bool) {
-	if v, ok := c.mem.Get(key); ok {
-		return v, true
-	}
-	start := time.Now()
-	v, ok := c.disk.Get(key)
-	c.r.tr.record("serve.diskcache_get", 0, start, time.Now())
-	if ok {
-		c.mem.Put(key, v)
-	}
-	return v, ok
-}
-
-func (c *tieredCache) Put(key string, val []byte) {
-	c.mem.Put(key, val)
-	c.disk.Put(key, val)
 }
 
 // response is one finished request as a client saw it.
@@ -294,8 +272,10 @@ func drive(ctx context.Context, r *run, parent int, url string, reqs []request) 
 var httpClient = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: serviceClients}}
 
 // runService serves a seeded mix of small grid specs to two closed-loop
-// clients, then replays them as cache hits, then restarts the daemon over
-// the same DiskCache and artifact directories and replays every key once.
+// clients from daemons with the default in-memory result cache, replays
+// them as memory-cache hits, fills a DiskCache through a daemon configured
+// as with -cachedir, then restarts that daemon over the same DiskCache and
+// artifact directories and replays every key once.
 func runService(ctx context.Context, r *run) error {
 	reqs, err := makeServiceRequests(r.seed)
 	if err != nil {
@@ -309,7 +289,7 @@ func runService(ctx context.Context, r *run) error {
 	// directory, followed by the mixed phase over an empty result cache:
 	// every key computes once, and the repeats hit or join.
 	var d *daemon
-	var artDir, cacheDir string
+	var artDir string
 	var setups, colds []time.Duration
 	results := map[string][]byte{}
 	var missLat, hitLat []float64
@@ -319,10 +299,9 @@ func runService(ctx context.Context, r *run) error {
 		}
 		settle()
 		artDir = r.dir(fmt.Sprintf("artifacts-%d", i))
-		cacheDir = r.dir(fmt.Sprintf("resultcache-%d", i))
 		t, err := r.tr.timed("serve.setup", 0, func(id int) error {
 			var err error
-			if d, err = startDaemon(r, p, artDir, cacheDir); err != nil {
+			if d, err = startDaemon(p, artDir, ""); err != nil {
 				return err
 			}
 			_, err = r.tr.timed("exp.new", id, func(int) error { return d.srv.Warm(ctx, "quick") })
@@ -363,8 +342,8 @@ func runService(ctx context.Context, r *run) error {
 	r.setExtra("serve.miss_p95_ms", quantile(missLat, 0.95), "ms")
 	computes, _, _ := d.srv.Stats()
 
-	// Hit phase: every request again, from the memory tier, repeated for
-	// the measuring budget.
+	// Hit phase: every request again, from the last set-up's memory cache,
+	// repeated for the measuring budget.
 	settle()
 	var hitPhase int64
 	passes, err := r.repeat(func() (time.Duration, error) {
@@ -391,23 +370,47 @@ func runService(ctx context.Context, r *run) error {
 	}
 	after, _, _ := d.srv.Stats()
 	r.expect("hit phase computes nothing", after == computes, "%d computes after the hit phase, %d before", after, computes)
-	r.setE2E("warm_s", median(secs(passes)), "s")
+	r.setE2E("warm_s", median(secs(passes)), "s") // thousands of passes: not listed in passes_s
 	r.count("serve.requests_per_hit_pass", int64(len(reqs)))
 	r.setExtra("serve.hit_p50_us", median(hitLat), "us")
 	r.setExtra("serve.hit_p99_us", quantile(hitLat, 0.99), "us")
 	r.setExtra("serve.hit_phase_requests", float64(hitPhase), "count")
+	d.stop()
+
+	// Fill a DiskCache: a daemon configured as with -cachedir, over the
+	// artifact directory the last set-up filled, computes every key once.
+	uniq := originals(reqs)
+	cacheDir := r.dir("resultcache")
+	settle()
+	fill, err := r.tr.timed("serve.fill", 0, func(id int) error {
+		var err error
+		if d, err = startDaemon(p, artDir, cacheDir); err != nil {
+			return err
+		}
+		for _, resp := range drive(ctx, r, id, d.url, uniq) {
+			r.account(resp, results, "fill")
+		}
+		computes, _, _ := d.srv.Stats()
+		r.count("serve.computes", computes)
+		r.expect("disk-cache fill computes every key once", computes == serviceSpecs,
+			"%d computes for %d distinct keys", computes, serviceSpecs)
+		return nil
+	})
+	d.stop()
+	if err != nil {
+		return fmt.Errorf("fill: %w", err)
+	}
+	r.setExtra("serve.fill_s", fill.Seconds(), "s")
 
 	// Restarts over the same DiskCache and artifact directories; each
-	// replays every key once, from the disk tier.
-	d.stop()
-	uniq := originals(reqs)
+	// replays every key once, from disk.
 	var restarts []time.Duration
 	var restartLat []float64
 	for i := 0; i < restartReps; i++ {
 		settle()
 		t, err := r.tr.timed("serve.restart", 0, func(id int) error {
 			var err error
-			if d, err = startDaemon(r, p, artDir, cacheDir); err != nil {
+			if d, err = startDaemon(p, artDir, cacheDir); err != nil {
 				return err
 			}
 			if _, err = r.tr.timed("exp.new", id, func(int) error { return d.srv.Warm(ctx, "quick") }); err != nil {
@@ -427,10 +430,9 @@ func runService(ctx context.Context, r *run) error {
 		d.stop()
 		restarts = append(restarts, t)
 	}
-	// A restart takes one of two typical times (about 30 or 45 ms on a
-	// 2-vCPU host) in proportions that vary from run to run; the mean of
-	// many restarts moves smoothly with that mix where the median would
-	// jump between the two.
+	// Restart times cluster at two values, in proportions that vary from
+	// run to run; the mean of many restarts moves smoothly with that mix
+	// where the median would jump between the two.
 	r.passes["restart_s"] = secs(restarts)
 	r.setE2E("restart_s", mean(secs(restarts)), "s")
 	r.setExtra("serve.restart_hit_p50_us", median(restartLat), "us")

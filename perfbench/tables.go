@@ -20,97 +20,126 @@ import (
 // contrastive and DDPM training quick-matrix already covers.
 var tableKinds = []string{exp.KindTable1, exp.KindFig2, exp.KindTable2, exp.KindTable3}
 
-// runPaperTables times Table I, Fig. 2, Table II and Table III cold, warm
-// and after a restart, and compares every table byte for byte with a
-// reference computed at GOMAXPROCS=1. Table II runs in a child process: it
-// races at GOMAXPROCS>1 and can panic inside a worker goroutine, which
-// must fail one operation, not the run.
+// runPaperTables times Table I, Fig. 2, Table II and Table III cold after
+// each set-up, warm, and after a restart over each artifact directory, and
+// compares every table byte for byte with a reference computed at
+// GOMAXPROCS=1. Table II runs in a child process: it races at
+// GOMAXPROCS>1 and can panic inside a worker goroutine, which must fail one
+// operation, not the run.
 func runPaperTables(ctx context.Context, r *run) error {
 	p := benchPreset(r.seed)
-	x, artDir, err := r.setup(ctx, p)
-	if err != nil {
-		return err
-	}
-
-	ref, err := r.child(ctx, artDir, 1, tableKinds)
-	if err != nil {
-		return fmt.Errorf("GOMAXPROCS=1 reference: %w", err)
-	}
-
 	r.count("tables_per_pass", int64(len(tableKinds)))
-	var crashed, differs int
-	pass := func(name string, x *exp.Experiment) (time.Duration, error) {
-		return r.tr.timed(name, 0, func(id int) error {
+
+	// pass regenerates every table on x. Only Table II may fail without
+	// ending the run.
+	pass := func(name string, x *exp.Experiment, artDir string) (tablePass, error) {
+		out := tablePass{name: name, texts: map[string]string{}, errs: map[string]error{}, times: map[string]time.Duration{}}
+		var err error
+		out.total, err = r.tr.timed(name, 0, func(id int) error {
 			for _, kind := range tableKinds {
-				got, d, err := r.table(ctx, x, artDir, kind, id)
-				ok := err == nil && got == ref[kind]
-				r.op(name+"."+kind, ok)
-				if kind == exp.KindTable2 {
-					// The known Table II race: a crash or a differing
-					// table is a failed operation whose time stays in the
-					// pass. It is not rerun: a rerun would crash again as
-					// often as the host is busy, so its cost would grow
-					// with the load, where a crash alone can cut the pass
-					// by at most one Table II.
-					switch {
-					case err != nil:
-						crashed++
-					case !ok:
-						differs++
-					}
-				} else {
-					if err != nil {
-						return fmt.Errorf("%s: %w", kind, err)
-					}
-					r.sameBytes(kind+" equals the GOMAXPROCS=1 reference", got, ref[kind])
+				text, d, err := r.table(ctx, x, artDir, kind, id)
+				if err != nil && kind != exp.KindTable2 {
+					return fmt.Errorf("%s: %w", kind, err)
 				}
-				if name == "eval.cold_pass" {
-					r.setExtra("eval."+kind+"_s", d.Seconds(), "s")
-				}
+				out.texts[kind], out.errs[kind], out.times[kind] = text, err, d
 			}
 			return nil
 		})
+		return out, err
 	}
 
-	settle()
-	cold, err := pass("eval.cold_pass", x)
+	var colds []tablePass
+	x, dirs, err := r.setup(ctx, p, func(x *exp.Experiment, artDir string) (time.Duration, error) {
+		out, err := pass("eval.cold_pass", x, artDir)
+		colds = append(colds, out)
+		return out.total, err
+	})
 	if err != nil {
-		return fmt.Errorf("cold pass: %w", err)
+		return err
 	}
-	r.setE2E("cold_s", cold.Seconds(), "s")
+	ref, err := r.child(ctx, dirs[0], 1, tableKinds)
+	if err != nil {
+		return fmt.Errorf("GOMAXPROCS=1 reference: %w", err)
+	}
+	var t2 table2Failures
+	for _, kind := range tableKinds {
+		var ds []float64
+		for _, c := range colds {
+			ds = append(ds, c.times[kind].Seconds())
+		}
+		r.setExtra("eval."+kind+"_s", median(ds), "s")
+	}
+	for _, c := range colds {
+		r.judge(c, ref, &t2)
+	}
 
 	warm, err := r.repeat(func() (time.Duration, error) {
 		settle()
-		return pass("eval.warm_pass", x)
+		out, err := pass("eval.warm_pass", x, dirs[len(dirs)-1])
+		if err == nil {
+			r.judge(out, ref, &t2)
+		}
+		return out.total, err
 	})
 	if err != nil {
 		return fmt.Errorf("warm pass: %w", err)
 	}
 	r.setMedian("warm_s", warm)
 
-	x = nil
-	settle()
-	restart, err := r.tr.timed("exp.restart", 0, func(id int) error {
-		var err error
-		if x, err = newExperiment(ctx, r, p, artDir, id); err != nil {
-			return err
+	x, err = r.restarts(ctx, p, dirs, func(x *exp.Experiment, artDir string) error {
+		out, err := pass("eval.restart_pass", x, artDir)
+		if err == nil {
+			r.judge(out, ref, &t2)
 		}
-		_, err = pass("eval.restart_pass", x)
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("restart pass: %w", err)
+		return err
 	}
-	r.setE2E("restart_s", restart.Seconds(), "s")
 	// Table II failures vary from run to run, so they are reported, not
 	// counted among the exact work counts.
-	r.setExtra("table2.crashed", float64(crashed), "count")
-	r.setExtra("table2.differs", float64(differs), "count")
+	r.setExtra("table2.crashed", float64(t2.crashed), "count")
+	r.setExtra("table2.differs", float64(t2.differs), "count")
 
 	if r.tracing {
 		return r.layerPass(ctx, x.Env(), exp.Spec{Kind: exp.KindTable1})
 	}
 	return nil
+}
+
+// tablePass is one pass over the tables: each table's text, error and
+// time, and the pass's wall time.
+type tablePass struct {
+	name  string
+	texts map[string]string
+	errs  map[string]error
+	times map[string]time.Duration
+	total time.Duration
+}
+
+// table2Failures counts the known Table II race's outcomes by kind.
+type table2Failures struct{ crashed, differs int }
+
+// judge records one operation per table of a pass and compares each table
+// with the GOMAXPROCS=1 reference. Table II is the known race: a crash or a
+// differing table is a failed operation whose time stays in the pass. It
+// is not rerun: a rerun would crash again as often as the host is busy, so
+// its cost would grow with the load, where a crash alone can cut the pass
+// by at most one Table II.
+func (r *run) judge(out tablePass, ref map[string]string, t2 *table2Failures) {
+	for _, kind := range tableKinds {
+		err := out.errs[kind]
+		ok := err == nil && out.texts[kind] == ref[kind]
+		r.op(out.name+"."+kind, ok)
+		switch {
+		case kind != exp.KindTable2:
+			r.sameBytes(kind+" equals the GOMAXPROCS=1 reference", out.texts[kind], ref[kind])
+		case err != nil:
+			t2.crashed++
+		case !ok:
+			t2.differs++
+		}
+	}
 }
 
 // table regenerates one table: in process, or for Table II in a child

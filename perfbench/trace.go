@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -179,10 +178,10 @@ func spanCost() float64 {
 	return float64(time.Since(start)) / n
 }
 
-// finishTrace writes the trace file and reports the tracer's own cost. The
-// cost is estimated from the span count; when an untraced run of the same
-// workload and seed left its result behind, the measured difference in
-// cold_s is reported too.
+// finishTrace writes the trace file and reports the tracer's own cost,
+// estimated from the span count. The traced run's cold_s goes in extra as
+// trace.cold_s: subtracting the cold_s of an untraced run of the same
+// workload and seed gives the measured overhead.
 func (r *run) finishTrace() {
 	r.tr.path = filepath.Join(r.root, ".bench_build", "traces", r.tr.run+".json")
 	if err := r.tr.write(r.tr.path); err != nil {
@@ -191,35 +190,5 @@ func (r *run) finishTrace() {
 	n := len(r.tr.spans)
 	r.setLayer("trace.spans", float64(n), "count")
 	r.setLayer("trace.overhead_ms", spanCost()*float64(n)/1e6, "ms")
-	if prev, ok := readUntraced(r); ok {
-		if cold, ok := r.e2e["cold_s"]; ok {
-			r.setExtra("trace.cold_overhead_s", cold.Value-prev, "s")
-		}
-	}
-}
-
-// untracedPath is where an untraced run leaves its cold_s for a later
-// traced run of the same workload and seed.
-func untracedPath(r *run) string {
-	return filepath.Join(r.root, ".bench_build", "results", fmt.Sprintf("%s-seed%d.json", r.workload, r.seed))
-}
-
-func readUntraced(r *run) (float64, bool) {
-	b, err := os.ReadFile(untracedPath(r))
-	if err != nil {
-		return 0, false
-	}
-	var v struct{ ColdS float64 }
-	if json.Unmarshal(b, &v) != nil {
-		return 0, false
-	}
-	return v.ColdS, true
-}
-
-func writeUntraced(r *run) {
-	b, _ := json.Marshal(struct{ ColdS float64 }{r.e2e["cold_s"].Value})
-	p := untracedPath(r)
-	if os.MkdirAll(filepath.Dir(p), 0o755) == nil {
-		os.WriteFile(p, b, 0o644)
-	}
+	r.setExtra("trace.cold_s", r.e2e["cold_s"].Value, "s")
 }
